@@ -13,7 +13,11 @@ drives one full lifecycle against it:
    built in this process (AMS linearity over HTTP);
 5. scrape ``/metrics`` and verify the exposition text parses (including
    the deliberately multi-line HELP string of ``serve_queue_depth``);
-6. send SIGTERM and verify the graceful path: exit code 0, final
+6. drive one keep-alive connection through routes that ignore their
+   request body (drain-with-body → healthz → unknown-path-with-body →
+   healthz): every body must be consumed, so each status is the route's
+   own, never a desynchronised 400/501;
+7. send SIGTERM and verify the graceful path: exit code 0, final
    checkpoints written, ``stopped cleanly`` on stdout.
 
 A second boot then exercises the mergeable-top-k surface
@@ -29,6 +33,7 @@ bit-identical, and tests/test_topk_merge.py pins that.)
 Run:  python examples/serving_smoke.py
 """
 
+import http.client
 import json
 import re
 import signal
@@ -70,6 +75,26 @@ def post(base, path, payload):
 def get(base, path):
     with urllib.request.urlopen(base + path, timeout=30) as resp:
         return resp.read().decode()
+
+
+def keep_alive_smoke(base) -> None:
+    """Body-ignoring routes must not desynchronise a keep-alive connection."""
+    host, port = base[len("http://"):].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        for method, path, body, expected in (
+            ("POST", "/admin/drain", '{"ignored": true}', 200),
+            ("GET", "/healthz", None, 200),
+            ("POST", "/no-such-route", '{"ignored": true}', 404),
+            ("GET", "/healthz", None, 200),
+        ):
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == expected, (path, response.status)
+    finally:
+        conn.close()
+    print("keep-alive sequence on one connection: 200/200/404/200")
 
 
 def boot(extra_args):
@@ -184,6 +209,8 @@ def main() -> int:
         assert "repro_serve_trees_total" in metrics
         assert "\\n" in metrics  # the multi-line HELP arrives escaped
         print(f"/metrics parses ({len(metrics.splitlines())} lines)")
+
+        keep_alive_smoke(base)
 
         server.send_signal(signal.SIGTERM)
         out, _ = server.communicate(timeout=60)

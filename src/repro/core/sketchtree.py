@@ -13,7 +13,9 @@ top-k mass of queried values is compensated, and the median-of-means
 estimator answers — for single patterns, unordered patterns (Section 3.3),
 sums of distinct patterns (Theorem 2), arithmetic expressions (Section 4),
 and ``*``/``//`` queries resolved against a structural summary
-(Section 6.2).
+(Section 6.2).  Each estimator is ``evaluate(compile(query))``: the
+counter-independent half lives in :mod:`repro.core.compiled`, so callers
+answering over several synopses compile once.
 
 Every ingestion path — :meth:`update` (tree at a time), the cross-tree
 micro-batched :meth:`update_batch`, :meth:`update_from_patterns` (the
@@ -39,46 +41,17 @@ import numpy as np
 
 from repro.core.batch import EncodedBatch
 from repro.core.config import TOPK_RNG_SALT, XI_SEED_OFFSET, SketchTreeConfig
-from repro.core.encoding import PatternEncoder
-from repro.core.expressions import Expression, required_independence
+from repro.core.compiled import CompiledQuery, QueryCompiler
+from repro.core.encoding import PatternEncoder, encoder_for
+from repro.core.expressions import Expression
 from repro.core.memory import MemoryReport
 from repro.core.topk import fold_vector
 from repro.core.virtual import VirtualStreams
 from repro.enumtree.enumerate import PatternTableMemo, collect_forest_patterns
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError
 from repro.obs.registry import COUNT_BUCKETS, Registry, get_default_registry
-from repro.query.pattern import arrangements, pattern_edges, validate_pattern
 from repro.query.summary import QueryNode, StructuralSummary
-from repro.sketch.ams import SketchMatrix
 from repro.trees.tree import LabeledTree, Nested
-
-
-def _any_label_has_or(pattern: Nested) -> bool:
-    from repro.query.pattern import OR_SEPARATOR
-
-    stack = [pattern]
-    while stack:
-        label, children = stack.pop()
-        if OR_SEPARATOR in label:
-            return True
-        stack.extend(children)
-    return False
-
-
-def coerce_pattern(query) -> Nested:
-    """Accept a nested tuple, s-expression string, tree, or plain
-    :class:`QueryNode`, and return the canonical nested-tuple pattern."""
-    if isinstance(query, str):
-        from repro.trees.builders import from_sexpr
-
-        return from_sexpr(query).to_nested()
-    if isinstance(query, LabeledTree):
-        return query.to_nested()
-    if isinstance(query, QueryNode):
-        return query.to_pattern()
-    if isinstance(query, tuple):
-        return query
-    raise QueryError(f"cannot interpret {type(query).__name__} as a tree pattern")
 
 
 class SketchTree:  # sketchlint: single-writer
@@ -116,14 +89,7 @@ class SketchTree:  # sketchlint: single-writer
         elif overrides:
             raise ConfigError("pass either a config object or keyword overrides")
         self.config = config
-        encoder_seed = (
-            config.encoder_seed if config.encoder_seed is not None else config.seed
-        )
-        self._encoder = PatternEncoder(
-            mapping=config.mapping,
-            degree=config.fingerprint_degree,
-            seed=encoder_seed,
-        )
+        self._encoder = encoder_for(config)
         self._streams = VirtualStreams(
             n_streams=config.n_virtual_streams,
             s1=config.s1,
@@ -133,6 +99,7 @@ class SketchTree:  # sketchlint: single-writer
             topk_size=config.topk_size,
             xi_family=config.xi_family,
         )
+        self._compiler = QueryCompiler(config, self._encoder, self._streams.xi)
         self._rng = np.random.default_rng(config.seed ^ TOPK_RNG_SALT)
         # Canonical-subtree → pattern-table cache shared across every tree
         # this synopsis ingests.  Pure enumeration speedup (bit-identical
@@ -482,14 +449,26 @@ class SketchTree:  # sketchlint: single-writer
             streams.tracker(int(residues[i])).process(raw[i])
 
     # ------------------------------------------------------------------
-    # Query side
+    # Query side: every estimator is evaluate(compile(query))
     # ------------------------------------------------------------------
+    @property
+    def compiler(self) -> QueryCompiler:
+        """This synopsis' query compiler (see :mod:`repro.core.compiled`)."""
+        return self._compiler
+
+    def evaluate(self, plan: CompiledQuery) -> float:
+        """Estimate a compiled linear query over this synopsis' counters.
+
+        ``plan`` may come from any compiler of the same configuration —
+        :meth:`QueryCompiler.for_config` gives callers answering over
+        several synopses (shards, window buckets) one plan for all of
+        them, bit-identical to each synopsis' own ``estimate_*``.
+        """
+        return self._streams.evaluate(plan)
+
     def estimate_ordered(self, query) -> float:
         """Approximate ``COUNT_ord(Q)`` (Theorem 1 estimator)."""
-        pattern = self._checked(query)
-        value = self._encoder.encode(pattern)
-        view = self._view_for([value])
-        return view.estimate(value)
+        return self._streams.evaluate(self._compiler.ordered(query))
 
     def estimate_ordered_interval(self, query, confidence: float = 0.9):
         """``COUNT_ord(Q)`` with a self-reported Chebyshev error bar.
@@ -502,17 +481,13 @@ class SketchTree:  # sketchlint: single-writer
         """
         from repro.core.intervals import Interval, chebyshev_half_width
 
-        pattern = self._checked(query)
-        value = self._encoder.encode(pattern)
-        residue = self._streams.residue(value)
-        matrix = self._streams.sketch_if_allocated(residue)
+        (group,) = self._compiler.ordered(query).groups
+        matrix = self._streams.sketch_if_allocated(group.residue)
         if matrix is None:
             return Interval(0.0, 0.0, confidence, 0.0)
-        tracker = (
-            self._streams.tracker(residue) if self.config.topk_size else None
-        )
-        adjust = tracker.adjustment([value]) if tracker else None
-        estimate = matrix.estimate(value, adjust=adjust)
+        tracker = self._streams.tracker(group.residue)
+        adjust = tracker.adjustment(group.values) if tracker else None
+        estimate = matrix.estimate_signed(group.xi, adjust=adjust)
         # The residual stream (top-k mass deleted) drives the noise.
         self_join = max(0.0, matrix.estimate_self_join_size())
         half_width = chebyshev_half_width(self_join, self.config.s1, confidence)
@@ -533,39 +508,19 @@ class SketchTree:  # sketchlint: single-writer
     def estimate_unordered(self, query) -> float:
         """Approximate ``COUNT(Q)``: the Section 3.3 sum over the distinct
         ordered arrangements of the pattern."""
-        pattern = self._checked(query)
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in arrangements(pattern)]
-        )
+        return self._streams.evaluate(self._compiler.unordered(query))
 
     def estimate_sum(self, queries: Iterable) -> float:
         """Approximate ``Σ_j COUNT_ord(Q_j)`` for distinct patterns
         (Theorem 2 estimator — a single combined sketch product, not a sum
         of per-pattern estimates)."""
-        patterns = [self._checked(q) for q in queries]
-        distinct = list(dict.fromkeys(patterns))
-        if len(distinct) != len(patterns):
-            raise QueryError(
-                "estimate_sum requires distinct patterns (Theorem 2); "
-                "duplicates were passed"
-            )
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in distinct]
-        )
+        return self._streams.evaluate(self._compiler.sum(queries))
 
     def estimate_or(self, query) -> float:
         """Approximate the count of a pattern with ``|`` OR-predicates in
         its labels (paper Example 5): the sum over the expanded distinct
         patterns."""
-        from repro.query.pattern import expand_or_labels
-
-        pattern = coerce_pattern(query)
-        expanded = expand_or_labels(pattern)
-        for p in expanded:
-            self._check_size(p)
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in expanded]
-        )
+        return self._streams.evaluate(self._compiler.or_labels(query))
 
     def estimate_expression(self, expression: Expression) -> float:
         """Approximate a Section 4 query expression (``+``, ``−``, ``×``).
@@ -577,33 +532,8 @@ class SketchTree:  # sketchlint: single-writer
         independence is below the expression's requirement
         (:func:`~repro.core.expressions.required_independence`).
         """
-        if isinstance(expression, str):
-            from repro.core.expressions import parse_expression
-
-            expression = parse_expression(expression)
-        needed = required_independence(expression)
-        if self.config.independence < needed:
-            raise ConfigError(
-                f"expression needs {needed}-wise independent xi; synopsis was "
-                f"built with independence={self.config.independence}"
-            )
-        terms = expression.expand()
-        atoms = expression.atoms()
-        for atom in atoms:
-            self._check_size(atom)
-        atom_values = {atom: self._encoder.encode(atom) for atom in atoms}
-        view = self._view_for(list(atom_values.values()))
-        counters = view.counters.astype(np.float64)
-        z = np.zeros_like(counters)
-        from math import factorial
-
-        for coeff, term_atoms in terms:
-            degree = len(term_atoms)
-            xi_prod = view.xi.xi_values(
-                [atom_values[a] for a in term_atoms]
-            ).prod(axis=1)
-            z += coeff * (counters**degree) / factorial(degree) * xi_prod
-        return view.boost(z)
+        plan = self._compiler.expression(expression)
+        return self._streams.evaluate_expression(plan)
 
     def estimate_extended(
         self, query: QueryNode, summary: StructuralSummary | None = None
@@ -616,17 +546,7 @@ class SketchTree:  # sketchlint: single-writer
         their total frequency.
         """
         summary = summary if summary is not None else self.summary
-        if summary is None:
-            raise QueryError(
-                "extended queries need a structural summary: construct the "
-                "synopsis with maintain_summary=True or pass one explicitly"
-            )
-        resolved = summary.resolve(query, max_edges=self.config.max_pattern_edges)
-        if not resolved:
-            return 0.0
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in resolved]
-        )
+        return self._streams.evaluate(self._compiler.extended(query, summary))
 
     def estimate_xpath(self, text: str) -> float:
         """Approximate the count of an XPath-subset query.
@@ -640,58 +560,11 @@ class SketchTree:  # sketchlint: single-writer
         Remember the paper's semantic note: this is the *pattern
         occurrence* count, not XPath's target-node count.
         """
-        from repro.query.xpath import parse_xpath
-
-        query = parse_xpath(text)
-        if not query.is_plain():
-            return self.estimate_extended(query)
-        pattern = query.to_pattern()
-        if _any_label_has_or(pattern):
-            return self.estimate_or(pattern)
-        return self.estimate_ordered(pattern)
-
-    def _estimate_distinct_sum(self, values: list[int]) -> float:
-        if not values:
-            return 0.0
-        return self._streams.estimate_sum_grouped(values)
-
-    def _view_for(self, values: list[int]) -> SketchMatrix:
-        residues = [self._streams.residue(v) for v in values]
-        return self._streams.view(residues, values)
-
-    def _checked(self, query) -> Nested:
-        pattern = coerce_pattern(query)
-        self._check_size(pattern)
-        return pattern
-
-    def _check_size(self, pattern: Nested) -> None:
-        validate_pattern(pattern)
-        edges = pattern_edges(pattern)
-        if edges < 1 or edges > self.config.max_pattern_edges:
-            raise QueryError(
-                f"pattern has {edges} edges; this synopsis counts patterns "
-                f"with 1..{self.config.max_pattern_edges} edges "
-                f"(larger patterns are the paper's stated future work)"
-            )
+        return self._streams.evaluate(self._compiler.xpath(text, self.summary))
 
     # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
-    def _tracker_items(self) -> list:
-        """Snapshot the ``(residue, tracker)`` pairs, retry-safe.
-
-        The writer thread allocates trackers while readers may be
-        iterating the stream table; a mid-scan allocation raises
-        ``RuntimeError``, and retrying until a clean pass is sound (the
-        GIL makes each step atomic, and allocations are rare).
-        """
-        for _ in range(8):
-            try:
-                return list(self._streams.iter_trackers())
-            except RuntimeError:
-                continue
-        return list(self._streams.iter_trackers())
-
     def tracked(self) -> dict[int, int]:
         """Tracked value → deleted-frequency map across virtual streams.
 
@@ -699,7 +572,7 @@ class SketchTree:  # sketchlint: single-writer
         hitters" list — see :meth:`tracked_patterns` for the named one.
         """
         total: dict[int, int] = {}
-        for _, tracker in self._tracker_items():
+        for _, tracker in self._streams.iter_trackers():
             total.update(tracker.tracked)
         return total
 
@@ -728,7 +601,7 @@ class SketchTree:  # sketchlint: single-writer
         optimisation bought).  0 when ``topk_size=0``."""
         return sum(
             tracker.deleted_self_join_mass()
-            for _, tracker in self._tracker_items()
+            for _, tracker in self._streams.iter_trackers()
         )
 
     def memory_report(self) -> MemoryReport:

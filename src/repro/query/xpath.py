@@ -52,7 +52,10 @@ def parse_xpath(text: str) -> QueryNode:
     return query
 
 
-class _XPathParser:
+class _XPathParser:  # sketchlint: thread-confined
+    """A cursor over one query's tokens; built fresh per :func:`parse_xpath`
+    call, so it never leaves the calling thread."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0

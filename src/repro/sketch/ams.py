@@ -193,8 +193,20 @@ class SketchMatrix:  # sketchlint: single-writer
         counters, used by the top-k strategy to temporarily "add back"
         deleted frequent values at query time (Section 5.2).
         """
+        return self.estimate_signed(self.xi.xi(value), adjust=adjust)
+
+    def estimate_signed(
+        self, xi: np.ndarray, adjust: np.ndarray | None = None
+    ) -> float:
+        """Boosted ``ξ · X`` for a precomputed per-instance ξ vector.
+
+        ``xi`` is one value's ``ξ(v)`` (a point estimate) or the sum
+        ``Σ_j ξ(v_j)`` over distinct values (the Theorem 2 sum
+        estimate); compiled queries (:mod:`repro.core.compiled`) carry
+        it so the ξ evaluation is paid once per query, not per synopsis.
+        """
         counters = self.counters if adjust is None else self.counters + adjust
-        return self._boost(self.xi.xi(value) * counters)
+        return self._boost(xi * counters)
 
     def estimate_batch(
         self, values: np.ndarray, adjust: np.ndarray | None = None
@@ -221,9 +233,9 @@ class SketchMatrix:  # sketchlint: single-writer
         variance bound ``2(t−1)·SJ(S)`` (Theorem 2) beats estimating each
         value separately and summing.
         """
-        xi_sum = self.xi.xi_values(values).sum(axis=1)
-        counters = self.counters if adjust is None else self.counters + adjust
-        return self._boost(xi_sum * counters)
+        return self.estimate_signed(
+            self.xi.xi_values(values).sum(axis=1), adjust=adjust
+        )
 
     def estimate_product(self, values, adjust: np.ndarray | None = None) -> float:
         """Boosted estimate of ``Π_j f_{values[j]}`` for *distinct* values.

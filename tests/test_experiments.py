@@ -174,7 +174,9 @@ class TestCost:
     def test_ratios(self):
         result = cost.run("treebank", SMOKE, n_trees=25)
         s1_low, s1_high = SMOKE.treebank_s1
-        ratio = result.s1_ratio(s1_low, s1_high, 1)
+        # Deterministic cost proxy (counter-update operations), not the
+        # wall-clock ratio, which is noise-bound over runs this short.
+        ratio = result.s1_update_ratio(s1_low, s1_high, 1)
         assert ratio > 0.8  # larger s1 must not be dramatically cheaper
         assert "ratio" in cost.render(result)
 

@@ -10,19 +10,25 @@ The suite boots real servers on ephemeral ports (``http.server`` in a
 background thread) — no sockets are mocked.
 """
 
+import dataclasses
+import http.client
+import io
 import json
 import queue
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
-from repro.serve.api import make_server
+from repro.serve.api import MAX_BODY_BYTES, ApiHandler, make_server
 from repro.serve.app import ServerApp, build_parser, run_from_args
 from repro.serve.models import (
     ApiError,
@@ -453,6 +459,229 @@ class TestHttpIntegration:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{app.port}/healthz", timeout=2
             )
+
+
+# ---------------------------------------------------------------------------
+# Transport: one write per response, bodies always consumed
+# ---------------------------------------------------------------------------
+
+
+class RecordingWriter:
+    """A ``wfile`` stand-in recording every write call."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+def request_bytes(method, path, body=b"", headers=None):
+    lines = [f"{method} {path} HTTP/1.1", "Host: test"]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    lines.extend(f"{k}: {v}" for k, v in (headers or {}).items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+def serve_in_memory(service, raw_requests):
+    """Run ``ApiHandler`` over one in-memory keep-alive connection.
+
+    Returns the handler and, per request, the list of ``wfile`` writes
+    it produced — no sockets, no clocks.
+    """
+    handler = ApiHandler.__new__(ApiHandler)
+    handler.server = SimpleNamespace(service=service)
+    handler.client_address = ("127.0.0.1", 0)
+    handler.rfile = io.BytesIO(b"".join(raw_requests))
+    handler.wfile = RecordingWriter()
+    handler.close_connection = False
+    per_request = []
+    for _ in raw_requests:
+        before = len(handler.wfile.writes)
+        handler.handle_one_request()
+        per_request.append(handler.wfile.writes[before:])
+    return handler, per_request
+
+
+def parse_response(raw):
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, body
+
+
+@pytest.fixture
+def started_service():
+    service = ShardedService(CONFIG, n_shards=2)
+    service.start()
+    yield service
+    service.stop()
+
+
+class TestTransport:
+    def test_every_response_is_one_write(self, started_service):
+        query = json.dumps({"query": "(A (B))"}).encode()
+        requests = [
+            request_bytes("GET", "/healthz"),
+            request_bytes("GET", "/readyz"),
+            request_bytes("GET", "/metrics"),
+            request_bytes("GET", "/stats"),
+            request_bytes("GET", "/nope"),
+            request_bytes("POST", "/ingest", json.dumps({"trees": STREAM}).encode()),
+            request_bytes("POST", "/admin/drain", b"{}"),
+            request_bytes("POST", "/estimate/ordered", query),
+            request_bytes("POST", "/estimate/median", query),
+            request_bytes("POST", "/admin/estimate/unordered", query),
+            request_bytes("POST", "/ingest", b"not json"),
+            request_bytes("POST", "/nope", b"{}"),
+        ]
+        handler, writes = serve_in_memory(started_service, requests)
+        statuses = []
+        for response in writes:
+            assert len(response) == 1, response
+            status, headers, body = parse_response(response[0])
+            assert int(headers["Content-Length"]) == len(body)
+            statuses.append(status)
+        assert statuses == [200, 200, 200, 200, 404, 202, 200, 200, 404, 200,
+                            400, 404]
+        assert not handler.close_connection
+
+    def test_ignored_bodies_keep_the_connection_in_sync(self, started_service):
+        """drain-with-body → healthz → unknown-path-with-body → healthz."""
+        _, writes = serve_in_memory(
+            started_service,
+            [
+                request_bytes("POST", "/admin/drain", b'{"ignored": true}'),
+                request_bytes("GET", "/healthz"),
+                request_bytes("POST", "/nope", b'{"ignored": true}'),
+                request_bytes("GET", "/healthz"),
+                request_bytes("POST", "/estimate/median", b'{"query": "(A)"}'),
+                request_bytes("GET", "/healthz"),
+            ],
+        )
+        statuses = [parse_response(w[0])[0] for w in writes]
+        assert statuses == [200, 200, 404, 200, 404, 200]
+
+    @pytest.mark.parametrize(
+        "headers,status",
+        [
+            ({"Content-Length": str(MAX_BODY_BYTES + 1)}, 413),
+            ({"Content-Length": "-5"}, 400),
+            ({"Content-Length": "many"}, 400),
+            ({"Transfer-Encoding": "chunked"}, 411),
+        ],
+    )
+    def test_unreadable_body_answers_and_closes(
+        self, started_service, headers, status
+    ):
+        handler, writes = serve_in_memory(
+            started_service,
+            [request_bytes("POST", "/ingest", headers=headers)],
+        )
+        (response,) = writes
+        got, response_headers, _ = parse_response(response[0])
+        assert got == status
+        assert response_headers["Connection"] == "close"
+        assert handler.close_connection
+
+    def test_keep_alive_survives_body_ignoring_routes(self, server):
+        """Over a real socket: one http.client connection throughout."""
+        app, _ = server
+        conn = http.client.HTTPConnection("127.0.0.1", app.port, timeout=30)
+        try:
+            sequence = [
+                ("POST", "/ingest", json.dumps({"trees": STREAM[:8]}), 202),
+                ("POST", "/admin/drain", '{"ignored": 1}', 200),
+                ("GET", "/healthz", None, 200),
+                ("POST", "/nope", '{"ignored": 1}', 404),
+                ("GET", "/healthz", None, 200),
+                ("POST", "/admin/snapshot", '{"ignored": 1}', 200),
+                ("POST", "/estimate/ordered", '{"query": "(A (B))"}', 200),
+            ]
+            for method, path, body, status in sequence:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                assert (path, response.status) == (path, status)
+                assert not response.will_close
+        finally:
+            conn.close()
+
+
+# ---------------------------------------------------------------------------
+# The fast path: one compiled plan, summed over shards
+# ---------------------------------------------------------------------------
+
+FAST_CONFIG = SketchTreeConfig(
+    s1=9, s2=3, max_pattern_edges=3, n_virtual_streams=5, seed=7
+)
+
+
+@st.composite
+def sexpr_trees(draw, depth=0):
+    label = draw(st.sampled_from("ABCD"))
+    fanout = 0 if depth >= 2 else draw(st.integers(0, 3))
+    kids = [draw(sexpr_trees(depth + 1)) for _ in range(fanout)]
+    return "(" + label + "".join(" " + kid for kid in kids) + ")"
+
+
+@st.composite
+def small_patterns(draw):
+    """Patterns with 1..3 edges over the tree alphabet."""
+    root = draw(st.sampled_from("ABCD"))
+    kids = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3))
+    if len(kids) < 3 and draw(st.booleans()):
+        kids[0] = f"{kids[0]} ({draw(st.sampled_from('ABCD'))})"
+    return "(" + root + "".join(f" ({kid})" for kid in kids) + ")"
+
+
+class TestFastPathBitIdentity:
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    @pytest.mark.parametrize("topk_size", [0, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        trees=st.lists(sexpr_trees(), min_size=1, max_size=18),
+        patterns=st.lists(small_patterns(), min_size=1, max_size=3, unique=True),
+        path=st.lists(st.sampled_from("ABCD"), min_size=2, max_size=3),
+    )
+    def test_estimate_route_equals_sum_of_shard_estimates(
+        self, n_shards, topk_size, trees, patterns, path
+    ):
+        config = dataclasses.replace(FAST_CONFIG, topk_size=topk_size)
+        service = ShardedService(config, n_shards=n_shards)
+        # The test thread is every shard's single writer (no drain threads).
+        for index, text in enumerate(trees):
+            service.shards[index % n_shards].synopsis.update(from_sexpr(text))
+        cases = [
+            ("ordered", patterns[0]),
+            ("unordered", patterns[-1]),
+            ("sum", patterns),
+            ("xpath", "/".join(path)),
+        ]
+        requests = [
+            request_bytes(
+                "POST",
+                f"/estimate/{kind}",
+                json.dumps(
+                    {"queries": query} if kind == "sum" else {"query": query}
+                ).encode(),
+            )
+            for kind, query in cases
+        ]
+        _, writes = serve_in_memory(service, requests)
+        for (kind, query), response in zip(cases, writes):
+            status, _, body = parse_response(response[0])
+            assert status == 200, body
+            expected = sum(
+                getattr(shard.synopsis, f"estimate_{kind}")(query)
+                for shard in service.shards
+            )
+            assert json.loads(body)["estimate"] == expected, (kind, query)
 
 
 # ---------------------------------------------------------------------------
