@@ -123,26 +123,31 @@ class RabinFingerprint:  # sketchlint: thread-confined
         """``(n_shifts, 256)`` int64 table with ``T[s][b] = (b << 8s) mod p``.
 
         Grown on demand and cached; row ``s`` is derived from row
-        ``s − 1`` by feeding one zero byte (``(v << 8) mod p``), so each
-        new level costs 256 table-driven reductions.
+        ``s − 1`` by feeding one zero byte (``(v << 8) mod p``), all 256
+        entries at once: :meth:`feed_byte` with a zero byte, vectorised.
+        Unsigned arithmetic keeps ``v << 8`` exact in every bit the mask
+        keeps (``degree <= 63``).
         """
         tables = self._pos_tables
         have = 0 if tables is None else tables.shape[0]
         if have >= n_shifts:
             return tables
-        grown = np.empty((n_shifts, 256), dtype=np.int64)
+        grown = np.empty((n_shifts, 256), dtype=np.uint64)
         if have:
             grown[:have] = tables
         else:
             # degree >= 8, so every byte is already reduced.
-            grown[0] = np.arange(256, dtype=np.int64)
+            grown[0] = np.arange(256, dtype=np.uint64)
             have = 1
-        feed = self.feed_byte
+        reduce = np.array(self._table, dtype=np.uint64)
+        mask = np.uint64(self._mask)
+        top = np.uint64(self.degree - 8)
+        eight = np.uint64(8)
         for s in range(have, n_shifts):
             previous = grown[s - 1]
-            grown[s] = [feed(int(v), 0) for v in previous]
-        self._pos_tables = grown
-        return grown
+            grown[s] = ((previous << eight) & mask) ^ reduce[previous >> top]
+        self._pos_tables = grown.view(np.int64)
+        return self._pos_tables
 
     def of_sequences(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
         """Length-prefixed fingerprints of many integer sequences at once.

@@ -166,6 +166,18 @@ class TestRabinFingerprint:
         as_int = int.from_bytes(data, "big")
         assert fp.of_bytes(data) == gf2_mod(as_int, fp.poly)
 
+    @pytest.mark.parametrize("degree", [8, 31, 61, 63])
+    def test_position_tables_match_byte_feed(self, degree):
+        # T[s][b] = (b << 8s) mod p, grown in two steps as batches of
+        # longer sequences arrive.
+        fp = RabinFingerprint(degree=degree, seed=2)
+        fp._position_tables(3)
+        tables = fp._position_tables(24)
+        for shift in range(24):
+            for byte in (0, 1, 0x80, 0xFF):
+                expected = fp.of_bytes(bytes([byte]) + bytes(shift))
+                assert int(tables[shift][byte]) == expected
+
     def test_values_bounded_by_degree(self):
         fp = RabinFingerprint(seed=0, degree=31)
         for payload in (b"", b"x", bytes(100)):
